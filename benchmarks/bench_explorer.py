@@ -1,10 +1,9 @@
 """Benchmarks of the explorer's hot path: fingerprints and reductions.
 
 Four pinned cases spanning the target families are each exhausted
-under every fingerprint mode — ``legacy`` (PR4's sanitize-and-hash
-path, the wall-clock baseline), ``naive`` (the byte encoder without
-caching, the fingerprint-work baseline), ``incremental`` (caching plus
-cross-run replay-digest reuse), ``native`` (the compiled encoder
+under every fingerprint mode — ``naive`` (the byte encoder without
+caching, the fingerprint-work and wall-clock baseline),
+``incremental`` (caching plus cross-run replay-digest reuse), ``native`` (the compiled encoder
 riding the same caches, when ``repro._native`` is built — digests are
 byte-identical to incremental, so its row adds only wall clock and the
 ``native_calls``/``native_bytes`` counters), and ``incremental`` with
@@ -21,7 +20,7 @@ always hold:
 * the incremental engine does ≥3x less fingerprint work than naive
   (``explore_fp_nodes``, an encoder node count — machine-independent).
 
-The wall-clock speedup of incremental over legacy is recorded in the
+The wall-clock speedup of incremental over naive is recorded in the
 report and only asserted under ``BENCH_EXPLORE_STRICT=1`` (CI sets
 it; laptops under load may not).  The native-over-incremental
 whole-search speedup is recorded per case and trended — it is
@@ -124,7 +123,6 @@ def _explore(case, fingerprint_mode, symmetry=None):
 
 def run_case_bench(case) -> dict:
     modes = {
-        "legacy": _explore(case, "legacy"),
         "naive": _explore(case, "naive"),
         "incremental": _explore(case, "incremental"),
     }
@@ -149,7 +147,7 @@ def run_case_bench(case) -> dict:
 
     # The search must be mode-invariant (symmetry may merge runs but
     # must preserve the observable outcomes).
-    base = modes["legacy"]
+    base = modes["naive"]
     for name, mode in modes.items():
         assert mode["_vectors"] == base["_vectors"], (case, name)
         assert mode["violations"] == base["violations"], (case, name)
@@ -159,7 +157,7 @@ def run_case_bench(case) -> dict:
     fp_reduction = modes["naive"]["fp_nodes"] / modes["incremental"]["fp_nodes"]
     assert fp_reduction >= MIN_FP_WORK_REDUCTION, (case, fp_reduction)
     wall_speedup = (
-        modes["legacy"]["_elapsed_raw"] / modes["incremental"]["_elapsed_raw"]
+        modes["naive"]["_elapsed_raw"] / modes["incremental"]["_elapsed_raw"]
     )
     native_speedup = None
     if "native" in modes:
@@ -184,7 +182,7 @@ def run_case_bench(case) -> dict:
     return {
         "case": case.describe(),
         "fp_work_reduction": round(fp_reduction, 2),
-        "wall_speedup_incremental_vs_legacy": round(wall_speedup, 2),
+        "wall_speedup_incremental_vs_naive": round(wall_speedup, 2),
         "wall_speedup_native_vs_incremental": native_speedup,
         "symmetry": symmetry,
         "modes": modes,
@@ -504,7 +502,7 @@ def run_benchmark(
         report = {"frontier": run_frontier_bench()}
     else:
         cases = [run_case_bench(case) for case in CASES]
-        speedups = [c["wall_speedup_incremental_vs_legacy"] for c in cases]
+        speedups = [c["wall_speedup_incremental_vs_naive"] for c in cases]
         native_speedups = [
             c["wall_speedup_native_vs_incremental"]
             for c in cases
@@ -515,7 +513,7 @@ def run_benchmark(
             "min_fp_work_reduction": min(
                 c["fp_work_reduction"] for c in cases
             ),
-            "min_wall_speedup": min(speedups),
+            "min_wall_speedup_vs_naive": min(speedups),
             "min_native_wall_speedup": (
                 min(native_speedups) if native_speedups else None
             ),
@@ -527,7 +525,7 @@ def run_benchmark(
             "frontier": run_frontier_bench(),
         }
         if os.environ.get("BENCH_EXPLORE_STRICT"):
-            assert report["min_wall_speedup"] >= MIN_WALL_SPEEDUP, report
+            assert report["min_wall_speedup_vs_naive"] >= MIN_WALL_SPEEDUP, report
         if os.environ.get("BENCH_NATIVE_STRICT"):
             # run_encoder_bench already asserted the ≥1.5x gate; here
             # we insist the extension really built (a silent compile

@@ -6,15 +6,13 @@ linearizability checker, and oracle history generation.
 
 The engine benches at the bottom (sparse long-horizon, high-fanout,
 and raw buffer churn) compare the seed's :class:`ReferenceNetwork`
-against the indexed :class:`Network`, the compiled
-:class:`NativeNetwork` (when ``repro._native`` is built), and the
-quiescence time-leap, assert trace equality, and write
-``BENCH_sim.json``.  Run them without pytest via
-``python benchmarks/bench_simulator.py``; the wall-clock speedup
-assertions (machine-dependent) only arm under ``BENCH_SIM_STRICT=1``
-(leap vs reference) / ``BENCH_NATIVE_STRICT=1`` (native vs indexed
-churn), while the counter and digest gates (machine-independent)
-always hold — they are what the CI perf-smoke job checks.
+against the indexed :class:`Network` and the quiescence time-leap,
+assert trace equality, and write ``BENCH_sim.json``.  Run them without
+pytest via ``python benchmarks/bench_simulator.py``; the wall-clock
+speedup assertion (machine-dependent, leap vs reference) only arms
+under ``BENCH_SIM_STRICT=1``, while the counter and digest gates
+(machine-independent) always hold — they are what the CI perf-smoke
+job checks.
 """
 
 import json
@@ -25,13 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from repro import _native
 from repro.core.detectors import PsiOracle, SigmaOracle, omega_sigma_oracle
 from repro.core.failure_pattern import FailurePattern
 from repro.registers.linearizability import check_linearizable
 from repro.sim.network import (
     ConstantDelay,
-    NativeNetwork,
     Network,
     OldestFirstDelivery,
     ReferenceNetwork,
@@ -222,9 +218,6 @@ def run_sparse_bench() -> dict:
         "indexed": _run_engine(Network, build),
         "indexed_leap": _run_engine(Network, build, time_leap=True),
     }
-    if _native.available():
-        results["native"] = _run_engine(NativeNetwork, build)
-        results["native_leap"] = _run_engine(NativeNetwork, build, time_leap=True)
     digests = {r["digest"] for r in results.values()}
     assert len(digests) == 1, f"engines diverged: {results}"
     assert results["indexed_leap"]["leap_ratio"] > 0.9
@@ -232,19 +225,11 @@ def run_sparse_bench() -> dict:
         results["reference"]["_elapsed_raw"]
         / results["indexed_leap"]["_elapsed_raw"]
     )
-    native_speedup = None
-    if "native" in results:
-        native_speedup = round(
-            results["indexed"]["_elapsed_raw"]
-            / results["native"]["_elapsed_raw"],
-            2,
-        )
     for r in results.values():
         del r["_elapsed_raw"]
     report = {
         "horizon": 120_000,
         "speedup_leap_vs_reference": round(speedup, 2),
-        "speedup_native_vs_indexed": native_speedup,
     }
     report.update(results)
     return report
@@ -275,8 +260,6 @@ def run_fanout_bench() -> dict:
         # so a fanout-side leap regression was invisible).
         "indexed_leap": _run_engine(Network, build, time_leap=True),
     }
-    if _native.available():
-        results["native"] = _run_engine(NativeNetwork, build)
     digests = {r["digest"] for r in results.values()}
     assert len(digests) == 1, f"engines diverged: {results}"
     # The machine-independent gates the CI perf-smoke job relies on.
@@ -285,23 +268,9 @@ def run_fanout_bench() -> dict:
         results["reference"]["scanned_per_delivery"]
         > 10 * results["indexed"]["scanned_per_delivery"]
     )
-    native_speedup = None
-    if "native" in results:
-        assert (
-            results["native"]["scanned_per_delivery"]
-            == results["indexed"]["scanned_per_delivery"]
-        ), "native buffers must do identical counted work"
-        native_speedup = round(
-            results["indexed"]["_elapsed_raw"]
-            / results["native"]["_elapsed_raw"],
-            2,
-        )
     for r in results.values():
         del r["_elapsed_raw"]
-    report = {
-        "horizon": 30_000,
-        "speedup_native_vs_indexed": native_speedup,
-    }
+    report = {"horizon": 30_000}
     report.update(results)
     return report
 
@@ -309,16 +278,14 @@ def run_fanout_bench() -> dict:
 #: Churn-bench shape: enough in-flight messages that the buffer
 #: operations dominate, with zero sim-loop overhead in the timed region.
 CHURN_SENDS = 60_000
-MIN_NATIVE_CHURN_SPEEDUP = 1.5
 
 
 def _churn(impl) -> dict:
     """Raw buffer throughput: the network core alone, no sim loop.
 
     Drives send/pick/ready_for/pending/next_ready_time directly with a
-    deterministic schedule, so the indexed-vs-native delta is pure
-    buffer mechanics — the regime where the compiled port's headline
-    ratio is physical (inside a full sim run the Python step loop
+    deterministic schedule, so the reference-vs-indexed delta is pure
+    buffer mechanics (inside a full sim run the Python step loop
     dilutes it).  Returns the delivery order so callers can assert the
     engines are move-for-move identical, not just fast.
     """
@@ -366,31 +333,21 @@ def _churn(impl) -> dict:
 
 
 def run_churn_bench() -> dict:
-    """Indexed vs native on raw buffer churn, delivery-order checked."""
+    """Reference vs indexed on raw buffer churn, delivery-order checked."""
     results = {
         "reference": _churn(ReferenceNetwork),
         "indexed": _churn(Network),
     }
-    if _native.available():
-        results["native"] = _churn(NativeNetwork)
-    base = results["indexed"]
+    base = results["reference"]
     for name, row in results.items():
-        assert row["_order"] == base["_order"], f"{name} diverged from indexed"
+        assert row["_order"] == base["_order"], f"{name} diverged from reference"
         assert row["delivered"] == base["delivered"], name
-    native_speedup = None
-    if "native" in results:
-        for counter in ("heap_pushes", "heap_pops", "messages_scanned"):
-            assert results["native"][counter] == base[counter], counter
-        native_speedup = round(
-            base["_elapsed_raw"] / results["native"]["_elapsed_raw"], 2
-        )
-        if os.environ.get("BENCH_NATIVE_STRICT"):
-            assert native_speedup >= MIN_NATIVE_CHURN_SPEEDUP, results
+    speedup = base["_elapsed_raw"] / results["indexed"]["_elapsed_raw"]
     for row in results.values():
         del row["_order"], row["_elapsed_raw"]
     report = {
         "sends": CHURN_SENDS,
-        "speedup_native_vs_indexed": native_speedup,
+        "speedup_indexed_vs_reference": round(speedup, 2),
     }
     report.update(results)
     return report
@@ -398,15 +355,12 @@ def run_churn_bench() -> dict:
 
 def run_benchmark(report_path: str = "BENCH_sim.json") -> dict:
     report = {
-        "native": _native.status(),
         "sparse": run_sparse_bench(),
         "fanout": run_fanout_bench(),
         "churn": run_churn_bench(),
     }
     if os.environ.get("BENCH_SIM_STRICT"):
         assert report["sparse"]["speedup_leap_vs_reference"] >= 3.0, report
-    if os.environ.get("BENCH_NATIVE_STRICT"):
-        assert report["native"]["available"], report["native"]
     Path(report_path).write_text(json.dumps(report, indent=2) + "\n")
     return report
 

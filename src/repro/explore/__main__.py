@@ -57,6 +57,7 @@ from repro.explore.frontier import (
     run_frontier,
 )
 from repro.explore.frontierd import DEFAULT_SHARD_BUDGET
+from repro.explore.state import native_fallback_reason
 from repro.explore.symmetry import collapse_symmetric_roots
 
 
@@ -92,11 +93,7 @@ def _parse_args(argv) -> argparse.Namespace:
         "--engine",
         choices=ENGINES + ("both",),
         default="indexed",
-        help=(
-            "network engine to drive (default indexed; 'both' = the "
-            "two pure-Python engines; 'native' needs the compiled core "
-            "or silently degrades to indexed)"
-        ),
+        help="network engine to drive (default indexed; 'both' = each in turn)",
     )
     parser.add_argument(
         "--workers",
@@ -228,7 +225,11 @@ def _parse_args(argv) -> argparse.Namespace:
         "--fingerprint-mode",
         choices=FINGERPRINT_MODES,
         default="incremental",
-        help="dedup fingerprint engine (default incremental)",
+        help=(
+            "dedup fingerprint engine (default incremental; 'native' "
+            "needs the compiled core and falls back to incremental with "
+            "a warning)"
+        ),
     )
     parser.add_argument(
         "--require-complete",
@@ -328,6 +329,17 @@ def main(argv=None) -> int:
             "--frontier dynamic always exhausts its roots; it does not "
             "combine with --stop-on-first or --max-runs"
         )
+    native = args.fingerprint_mode == "native"
+    fallback = native_fallback_reason(args.procs) if native else None
+    if fallback is not None:
+        print(
+            "warning: --fingerprint-mode native falls back to the pure "
+            f"incremental encoder: {fallback}",
+            file=sys.stderr,
+        )
+    if args.stats:
+        encoder = "native" if native and fallback is None else "pure"
+        print(f"fingerprints: mode={args.fingerprint_mode} encoder={encoder}")
     store = None
     if args.store is not None:
         from repro.store import ResultStore

@@ -50,15 +50,17 @@ from repro.explore.control import (
 )
 from repro.registers.workload import RegisterWorkload
 from repro.runner import call
-from repro.sim.network import ConstantDelay, resolve_network_engine
+from repro.sim.network import (
+    NETWORK_ENGINES,
+    ConstantDelay,
+    resolve_network_engine,
+)
 from repro.sim.system import System, network_implementation
 
 #: The buffer engines the explorer can drive; the controlled runs are
-#: bit-identical across them (all hand ``choose`` the ready list in
+#: bit-identical across them (both hand ``choose`` the ready list in
 #: ascending msg_id order), which a tier-1 property test pins.
-#: ``native`` resolves to the compiled core when built, silently
-#: degrading to ``indexed`` otherwise (still digest-identical).
-ENGINES = ("indexed", "reference", "native")
+ENGINES = NETWORK_ENGINES
 
 
 def explore_register_workload_factory(seed: int):

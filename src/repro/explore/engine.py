@@ -61,22 +61,16 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.explore.cases import CaseParts, ExploreCase, build_system, resolve_parts
 from repro.explore.control import ChoiceController
-from repro.explore.state import (
-    FingerprintEngine,
-    fingerprint,
-    sanitize,
-    _sorted_by_repr,
-)
+from repro.explore.state import FingerprintEngine
 from repro.explore.symmetry import admissible_perms, resolve_symmetry
 from repro.sim.network import Message
 from repro.sim.perf import PerfCounters
 
 #: Fingerprint implementations ``explore_case`` accepts: the byte
-#: engine with and without its caches, the compiled-encoder variant
-#: (digest-identical to ``incremental``, silently degrading to it when
-#: the extension is unavailable), and the PR 4 tuple/repr path (kept as
-#: the benchmark baseline).
-FINGERPRINT_MODES = ("incremental", "naive", "native", "legacy")
+#: engine with and without its caches, and the compiled-encoder variant
+#: (digest-identical to ``incremental``, falling back to it when the
+#: extension is unavailable — see ``state.native_fallback_reason``).
+FINGERPRINT_MODES = FingerprintEngine.MODES
 
 
 @dataclass
@@ -169,20 +163,6 @@ def _vector_closure(
         )
 
 
-def _por_context(
-    por: bool, prev: Optional[int], fresh: List[Message], boundary: bool
-) -> Tuple[Any, ...]:
-    if not por:
-        return ()
-    return (
-        prev,
-        boundary,
-        _sorted_by_repr(
-            (m.sender, m.dest, m.component, sanitize(m.payload)) for m in fresh
-        ),
-    )
-
-
 def _shared_prefix_len(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
     limit = min(len(a), len(b))
     for index in range(limit):
@@ -240,8 +220,6 @@ def explore_case(
             f"have {FINGERPRINT_MODES}"
         )
     symmetry_on = resolve_symmetry(case, symmetry)
-    if symmetry_on and fingerprint_mode == "legacy":
-        raise ValueError("symmetry reduction requires the byte fingerprint engine")
     parts = resolve_parts(case)
     result = ExploreResult(
         case=case,
@@ -253,12 +231,8 @@ def explore_case(
         fingerprint_mode=fingerprint_mode,
     )
     perms = admissible_perms(case) if symmetry_on else (tuple(range(case.n)),)
-    fp_engine = (
-        FingerprintEngine(
-            case.n, fingerprint_mode, counters=result.counters, perms=perms
-        )
-        if fingerprint_mode != "legacy"
-        else None
+    fp_engine = FingerprintEngine(
+        case.n, fingerprint_mode, counters=result.counters, perms=perms
     )
     crash_times = {t for _, t in case.crashes}
     first_crash = min(crash_times) if crash_times else None
@@ -273,7 +247,7 @@ def explore_case(
     # the equivalence suite pins it).
     prev_taken: Tuple[int, ...] = ()
     prev_digests: List[Tuple[int, str]] = []
-    reuse_digests = dedup and fp_engine is not None and fp_engine.cached
+    reuse_digests = dedup and fp_engine.cached
 
     while stack:
         if max_runs is not None and result.runs >= max_runs:
@@ -363,7 +337,7 @@ def _run_path(
     first_crash: Optional[int],
     last_crash: Optional[int],
     result: ExploreResult,
-    fp_engine: Optional[FingerprintEngine],
+    fp_engine: FingerprintEngine,
     choice_limit: Optional[int],
     prev_digests: Optional[List[Tuple[int, str]]],
     shared: int,
@@ -380,8 +354,7 @@ def _run_path(
     controller = ChoiceController(prefix)
     controller.por_enabled = por
     system = build_system(case, controller, parts=parts, engine=engine)
-    if fp_engine is not None:
-        fp_engine.begin_run(system)
+    fp_engine.begin_run(system)
 
     sent_this_tick: List[Message] = []
     for host in system.hosts:
@@ -418,20 +391,10 @@ def _run_path(
                 cursors = (
                     tuple(scripts.cursors) if scripts is not None else None
                 )
-                if fp_engine is not None:
-                    key = fp_engine.fingerprint(
-                        now, crashes_pending, first_crash,
-                        prev, fresh, boundary, por, cursors,
-                    )
-                else:
-                    key = fingerprint(
-                        system,
-                        now,
-                        crashes_pending,
-                        first_crash,
-                        _por_context(por, prev, fresh, boundary),
-                        cursors,
-                    )
+                key = fp_engine.fingerprint(
+                    now, crashes_pending, first_crash,
+                    prev, fresh, boundary, por, cursors,
+                )
             run_digests.append((logged, key))
             if digest_log is not None:
                 digest_log.append(key)

@@ -24,8 +24,9 @@ persistence) leaks rows that claim coverage living in no report.  So
 ``note`` only accumulates; rows reach the table either when the shard's
 walk has completed (``publish_pending``, the static shard path) or
 atomically inside the work-queue completion transaction
-(``take_pending`` + :meth:`repro.store.db.ResultStore.complete_work`,
-the dynamic-frontier path) — a rejected completion publishes nothing.
+(``take_pending`` +
+:meth:`repro.store.db.ResultStore.complete_work_batch`, the
+dynamic-frontier path) — a rejected completion publishes nothing.
 Deferral only costs redundancy (a state is shared once its discovering
 shard finishes, not the moment it is recorded), never coverage; with
 sequential shards each one completes before the next seeds, so the

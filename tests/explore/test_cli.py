@@ -72,6 +72,14 @@ def test_reference_engine_and_both(capsys):
     assert "qc [indexed]" in out and "qc [reference]" in out
 
 
+def test_native_engine_rejected_naming_the_valid_ones(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--target", "qc", "--engine", "native"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'native'" in err and "'indexed', 'reference'" in err
+
+
 def test_detector_switches_flag_widens_the_frontier(capsys):
     base = ["--target", "qc", "--depth", "4", "--crashes", "1"]
     assert main(base) == 0

@@ -11,10 +11,17 @@ from repro.explore import (
     crash_schedules,
     decode_value,
     enumerate_roots,
-    fingerprint,
     run_controlled,
-    sanitize,
 )
+from repro.explore.state import FingerprintEngine, _Encoder
+from repro.sim.perf import PerfCounters
+
+
+def _key(engine, system, depth):
+    """The dedup key of ``system`` as a fresh run of ``engine`` sees it
+    (no crashes pending, POR context off)."""
+    engine.begin_run(system)
+    return engine.fingerprint(depth, False, None, None, [], False, False)
 
 
 class TestChoiceController:
@@ -41,15 +48,15 @@ class TestChoiceController:
             controller.choose("sched", 1, 3)
 
 
-class TestSanitize:
-    def test_equal_cycles_sanitize_equal(self):
+class TestCanonicalEncoding:
+    def test_equal_cycles_encode_equal(self):
         a = {}
         a["self"] = a
         b = {}
         b["self"] = b
         # Identity must not leak into the canonical form: two
         # structurally identical cycles are the same state.
-        assert sanitize(a) == sanitize(b)
+        assert _Encoder(2).enc(a) == _Encoder(2).enc(b)
 
     def test_slotted_state_is_captured(self):
         class Slotted:
@@ -58,16 +65,37 @@ class TestSanitize:
             def __init__(self, x):
                 self.x = x
 
-        assert sanitize(Slotted(1)) == sanitize(Slotted(1))
+        assert _Encoder(2).enc(Slotted(1)) == _Encoder(2).enc(Slotted(1))
         # Slot values are real protocol state — different values must
         # not merge.
-        assert sanitize(Slotted(1)) != sanitize(Slotted(2))
+        assert _Encoder(2).enc(Slotted(1)) != _Encoder(2).enc(Slotted(2))
 
     def test_undecomposable_objects_never_merge(self):
-        # A bare object() has neither __dict__ nor __slots__: sanitize
-        # cannot prove two of them equal, so each gets a globally
-        # unique token — missed merges are sound, wrong merges are not.
-        assert sanitize(object()) != sanitize(object())
+        # A bare object() has neither __dict__ nor __slots__: the
+        # encoder cannot prove two of them equal, so it flags the state
+        # opaque and the engine appends a per-(run, tick) nonce —
+        # missed merges are sound, wrong merges are not.
+        enc = _Encoder(2)
+        enc.enc(object())
+        assert enc.opaque
+        case = ExploreCase(target="qc", n=2, depth=6)
+        counters = PerfCounters()
+        engine = FingerprintEngine(case.n, counters=counters)
+        plain = [
+            _key(engine, run_controlled(case)[0], case.depth) for _ in range(2)
+        ]
+        # Control: the same state reached by two runs merges.
+        assert plain[0] == plain[1]
+        assert counters.explore_opaque_tokens == 0
+        opaque = []
+        for _ in range(2):
+            system, _ = run_controlled(case)
+            component = next(iter(system.hosts[0].components.values()))
+            component.blob = object()
+            opaque.append(_key(engine, system, case.depth))
+        assert opaque[0] != opaque[1]
+        assert plain[0] not in opaque
+        assert counters.explore_opaque_tokens == 2
 
 
 class TestAssignments:
@@ -147,10 +175,8 @@ class TestControlledRunDeterminism:
 
     def test_fingerprints_reproducible_across_builds(self):
         case = ExploreCase(target="qc", n=2, depth=6)
-        prints = []
-        for _ in range(2):
-            system, _ = run_controlled(case)
-            prints.append(
-                fingerprint(system, case.depth, False, None, ())
-            )
+        prints = [
+            _key(FingerprintEngine(case.n), run_controlled(case)[0], case.depth)
+            for _ in range(2)
+        ]
         assert prints[0] == prints[1]

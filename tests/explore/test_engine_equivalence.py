@@ -7,12 +7,14 @@ every choice point.  If that holds, whole explorations are
 bit-identical: same run count, same states, same decision vectors,
 same violations with the same choice traces.  Hypothesis drives random
 small configurations — target, depth, seed, optional crash — through
-full exhaustion on both engines and compares everything.
+full exhaustion on both engines and compares everything, down to the
+dedup key of every visited state and the messages each engine reports
+as in flight (:meth:`in_flight`) at the end of a controlled run.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.explore import ExploreCase, explore_case
+from repro.explore import ENGINES, ExploreCase, explore_case, run_controlled
 
 TARGETS = ("paxos", "ct", "qc", "nbac", "register", "hastycommit")
 
@@ -35,8 +37,12 @@ def cases(draw):
 @settings(max_examples=12, deadline=None)
 @given(case=cases())
 def test_exploration_identical_on_both_engines(case):
-    indexed = explore_case(case, engine="indexed")
-    reference = explore_case(case, engine="reference")
+    indexed_log, reference_log = [], []
+    indexed = explore_case(case, engine="indexed", digest_log=indexed_log)
+    reference = explore_case(
+        case, engine="reference", digest_log=reference_log
+    )
+    assert indexed_log == reference_log
     assert indexed.stats() == reference.stats()
     assert indexed.decision_vectors == reference.decision_vectors
     assert [
@@ -44,3 +50,18 @@ def test_exploration_identical_on_both_engines(case):
     ] == [
         (v.choices, v.violated, v.decisions) for v in reference.violations
     ]
+    # Buffer contents through the public accessor: same messages on
+    # both engines (each engine keeps its own internal order).
+    systems = [run_controlled(case, engine=e)[0] for e in ENGINES]
+    for dest in range(case.n):
+        flights = [_in_flight(system.network, dest) for system in systems]
+        assert flights[0] == flights[1]
+        assert len(flights[0]) == systems[0].network.pending_count(dest)
+
+
+def _in_flight(network, dest):
+    return sorted(
+        (m.msg_id, m.sender, m.dest, m.component, repr(m.payload))
+        for m in network.in_flight(dest)
+    )
+

@@ -133,8 +133,12 @@ class TestWorkStealing:
         work = claimed[0]
         while store.work_status("steal-q")["pending"]:
             # Drain the queue so the claimed item sees starvation.
-            extra = store.claim_work("steal-q", "w0", ttl=30.0)
-            store.complete_work(extra.id, "w0", {"drained": True})
+            extra, _ = store.claim_work_batch(
+                "steal-q", "w0", ttl=30.0, limit=1
+            )
+            store.complete_work_batch(
+                "w0", [{"work_id": extra[0].id, "result": {"drained": True}}]
+            )
         status = store.work_status("steal-q")
         completions, fingerprints = _run_batch(
             store, "steal-q", [work], status,
@@ -314,10 +318,10 @@ class TestBatchLeases:
         # (past the requeue backoff, hence the far-future clock).
         future = time.time() + 31.0
         store.requeue_expired("rej-q", retry_limit=99, now=future)
-        thief = store.claim_work(
-            "rej-q", "thief", ttl=30.0, now=future + 120.0
+        thief, _ = store.claim_work_batch(
+            "rej-q", "thief", ttl=30.0, limit=1, now=future + 120.0
         )
-        assert thief is not None
+        assert thief
 
         assert store.complete_work_batch(
             "w0", completions, fingerprints

@@ -57,8 +57,9 @@ def test_repro_native_env_var_disables():
 
 
 def test_forced_pure_explorer_still_runs():
-    """REPRO_NATIVE=0 + --fingerprint-mode native must silently fall
-    back to the pure incremental path, not fail."""
+    """REPRO_NATIVE=0 + --fingerprint-mode native must fall back to the
+    pure incremental path, not fail — and say so: one stderr warning
+    naming the reason, and --stats naming the encoder that ran."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
     env["REPRO_NATIVE"] = "0"
@@ -73,11 +74,16 @@ def test_forced_pure_explorer_still_runs():
             "4",
             "--fingerprint-mode",
             "native",
-            "--engine",
-            "native",
+            "--stats",
         ],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    warnings = [
+        line for line in proc.stderr.splitlines() if line.startswith("warning:")
+    ]
+    assert len(warnings) == 1, proc.stderr
+    assert "disabled via REPRO_NATIVE=0" in warnings[0]
+    assert "fingerprints: mode=native encoder=pure" in proc.stdout

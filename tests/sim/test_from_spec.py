@@ -6,6 +6,7 @@ digest-bearing observation.
 """
 
 from repro.core.failure_pattern import FailurePattern
+from repro.sim.network import NETWORK_ENGINES, resolve_network_engine
 from repro.sim.system import System, SystemBuilder, decided
 from repro.sim.trace import RunTrace
 
@@ -46,6 +47,21 @@ class TestFromSpec:
         full_sys = System.from_spec(helpers.consensus_spec(trace_mode="full"))
         assert lite_sys.trace.mode == "lite"
         assert full_sys.trace.mode == "full"
+
+    def test_engine_pin_selects_the_network(self):
+        spec = helpers.consensus_spec()
+        for engine in NETWORK_ENGINES:
+            system = System.from_spec(spec.with_(engine=engine))
+            assert type(system.network) is resolve_network_engine(engine)
+
+    def test_unknown_engine_rejected_naming_the_valid_ones(self):
+        import pytest
+
+        for engine in ("native", "bogus"):
+            with pytest.raises(ValueError, match="'indexed', 'reference'"):
+                helpers.consensus_spec().with_(engine=engine)
+            with pytest.raises(ValueError, match="'indexed', 'reference'"):
+                resolve_network_engine(engine)
 
 
 class TestTraceModes:

@@ -49,6 +49,10 @@ def _drive_identically(indexed, reference, seed, ticks=400):
             a = indexed.send(sender, dest, "c", payload, t)
             b = reference.send(sender, dest, "c", payload, t)
             assert (a.msg_id, a.ready_at) == (b.msg_id, b.ready_at)
+        for d in range(n):
+            assert sorted(m.msg_id for m in indexed.in_flight(d)) == [
+                m.msg_id for m in reference.in_flight(d)
+            ]
         dest = script.randrange(n)
         got_a = indexed.pick_for(dest, t)
         got_b = reference.pick_for(dest, t)

@@ -76,7 +76,7 @@ class TestSweep:
     def test_sweep_collects_dead_queue_and_lease_rows(self, tmp_path):
         store = ResultStore(tmp_path)
         store.enqueue_work("dead-run", [{"i": 0}], now=0.0)
-        store.claim_work("dead-run", "w", ttl=1.0, now=0.0)
+        store.claim_work_batch("dead-run", "w", ttl=1.0, limit=1, now=0.0)
         swept = store.sweep_stale_scopes(max_age=10.0, now=1e9)
         assert swept["work_rows"] == 1
         assert swept["lease_rows"] == 1
